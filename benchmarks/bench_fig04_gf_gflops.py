@@ -111,7 +111,7 @@ def test_gf_threaded_norms(benchmark):
     factory, field, _ = make_field_engine(16, 16, u=4.0, n_slices=L, cluster=10)
     serial = GreensFunctionEngine(factory, field, cluster_size=10)
     threaded = GreensFunctionEngine(
-        factory, field, cluster_size=10, threaded_norms=True
+        factory, field, cluster_size=10, backend="threaded"
     )
     np.testing.assert_allclose(
         threaded.boundary_greens(1, 0), serial.boundary_greens(1, 0),

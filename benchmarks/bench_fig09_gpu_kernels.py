@@ -15,27 +15,31 @@ rate(GPU dgemm) >= rate(clustering) > rate(wrapping) > rate(CPU dgemm),
 with clustering within 2x of GPU DGEMM.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from bench_common import format_table, make_field_engine, time_call
-from repro.gpu import GPUPropagatorOps, SimulatedDevice, TESLA_C2050
+from repro.backends import SimulatedGPUBackend
+from repro.gpu import SimulatedDevice, TESLA_C2050
 from repro.linalg import gemm_flops
 
 SIZES = [128, 256, 512, 1024]
 K = 10
 
 
-def _fake_propagators(n, rng):
-    """Random orthogonal-ish stand-ins for exp(-+dtau K) at size n."""
+def _fake_backend(n, rng, dev):
+    """The fused simulated-GPU backend bound to random orthogonal
+    stand-ins for exp(-+dtau K) at size n."""
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return q, q.T
+    exponentials = SimpleNamespace(expk=q, inv_expk=q.T)
+    return SimulatedGPUBackend(device=dev, fused=True).bind(exponentials)
 
 
 def _cluster_rate(n, rng) -> float:
-    expk, inv_expk = _fake_propagators(n, rng)
     dev = SimulatedDevice(TESLA_C2050)
-    ops = GPUPropagatorOps(dev, expk, inv_expk, fused=True)
+    ops = _fake_backend(n, rng, dev)
     vs = [np.exp(rng.normal(size=n) * 0.3) for _ in range(K)]
     dev.reset_clock()
     ops.cluster_product(vs)
@@ -44,9 +48,8 @@ def _cluster_rate(n, rng) -> float:
 
 
 def _wrap_rate(n, rng) -> float:
-    expk, inv_expk = _fake_propagators(n, rng)
     dev = SimulatedDevice(TESLA_C2050)
-    ops = GPUPropagatorOps(dev, expk, inv_expk, fused=True)
+    ops = _fake_backend(n, rng, dev)
     g = rng.normal(size=(n, n))
     v = np.exp(rng.normal(size=n) * 0.3)
     dev.reset_clock()

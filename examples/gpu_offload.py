@@ -4,7 +4,9 @@
 Demonstrates the offload layer end to end:
 
 1. builds the same Green's function once on the CPU engine and once on
-   the hybrid CPU+GPU engine, checks they agree to machine precision;
+   the engine with the simulated-GPU backend (clustering and wrapping on
+   the device, stratification on the host), checks they agree to
+   machine precision;
 2. contrasts the plain CUBLAS listings (Algorithm 4/6: a kernel launch
    per matrix row) against the fused custom kernels (Algorithm 5/7: one
    launch per scaling) on launch counts and modelled time;
@@ -24,8 +26,10 @@ import argparse
 import numpy as np
 
 from repro import BMatrixFactory, HSField, HubbardModel, SquareLattice
+from repro.backends import SimulatedGPUBackend
 from repro.core import GreensFunctionEngine
-from repro.gpu import GPUPropagatorOps, HybridGreensEngine, SimulatedDevice
+from repro.gpu import SimulatedDevice
+from repro.profiling import PhaseProfiler
 
 
 def main() -> None:
@@ -45,15 +49,19 @@ def main() -> None:
 
     # 1. numerical equivalence ------------------------------------------------
     cpu = GreensFunctionEngine(factory, field, cluster_size=10)
-    hybrid = HybridGreensEngine(factory, field, cluster_size=10)
+    hybrid = GreensFunctionEngine(
+        factory, field, cluster_size=10, backend="gpu-sim",
+        profiler=PhaseProfiler(),
+    )
     g_cpu = cpu.boundary_greens(1, 0)
     g_gpu = hybrid.boundary_greens(1, 0)
     diff = np.linalg.norm(g_cpu - g_gpu) / np.linalg.norm(g_cpu)
+    cpu_s = hybrid.profiler.seconds.get("stratification", 0.0)
     print(f"N = {n}, L = {args.slices}")
     print(f"CPU vs hybrid Green's function: relative difference {diff:.2e}")
     print(
-        f"hybrid clocks: GPU {hybrid.gpu_seconds*1e3:.2f} ms (virtual), "
-        f"CPU {hybrid.cpu_seconds*1e3:.2f} ms (measured)\n"
+        f"hybrid clocks: GPU {hybrid.device.elapsed*1e3:.2f} ms (virtual), "
+        f"CPU {cpu_s*1e3:.2f} ms (measured)\n"
     )
 
     # 2. fused kernels vs per-row CUBLAS calls ----------------------------------
@@ -62,7 +70,7 @@ def main() -> None:
     print(f"{'variant':>10} {'kernel launches':>16} {'model time (ms)':>16}")
     for fused, label in ((False, "cublas"), (True, "fused")):
         dev = SimulatedDevice()
-        ops = GPUPropagatorOps(dev, factory.expk, factory.inv_expk, fused=fused)
+        ops = SimulatedGPUBackend(device=dev, fused=fused).bind(factory)
         before = dev.kernel_launches
         dev.reset_clock()
         ops.cluster_product(vs)
@@ -77,7 +85,7 @@ def main() -> None:
 
     # 3. the transfer ledger ----------------------------------------------------
     dev = SimulatedDevice()
-    ops = GPUPropagatorOps(dev, factory.expk, factory.inv_expk)
+    ops = SimulatedGPUBackend(device=dev).bind(factory)
     h0, d0 = dev.h2d_bytes, dev.d2h_bytes
     ops.cluster_product(vs)
     print("transfer ledger per operation (bytes):")

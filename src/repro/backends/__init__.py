@@ -1,6 +1,7 @@
 """Pluggable execution backends for the Green's-function pipeline.
 
-One protocol (:class:`PropagatorBackend`), four implementations:
+One protocol (:class:`BaseBackend`: the composites, written once over
+per-backend primitives), four implementations:
 
 * ``"numpy"`` — serial reference (:class:`NumpyBackend`);
 * ``"threaded"`` — worker-pool fine-grain kernels, paper Sec. IV-B
@@ -19,7 +20,6 @@ from .base import (
     BackendError,
     BackendUnavailableError,
     BaseBackend,
-    PropagatorBackend,
 )
 from .cupy_backend import CupyBackend, cupy_available
 from .gpu_sim import SimulatedGPUBackend
@@ -42,7 +42,6 @@ __all__ = [
     "BaseBackend",
     "CupyBackend",
     "NumpyBackend",
-    "PropagatorBackend",
     "SimulatedGPUBackend",
     "ThreadedBackend",
     "available_backends",

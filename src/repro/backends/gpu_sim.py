@@ -1,11 +1,18 @@
 """Simulated-GPU backend (paper Sec. VI's hybrid division of labour).
 
-Routes the GEMM-dominated, pivot-free operations — cluster-product
-rebuilds (Algorithm 4/5) and the wrap/unwrap transforms (Algorithm 6/7)
-— through :class:`~repro.gpu.ops.GPUPropagatorOps` on a
-:class:`~repro.gpu.device.SimulatedDevice`, while the stratification
-chain's QR work and everything else inherits the host (numpy) paths,
-exactly as the paper's preliminary hybrid defers them to the CPU.
+The composites — cluster-product rebuilds (Algorithm 4/5) and the
+wrap/unwrap transforms (Algorithm 6/7) — run on a
+:class:`~repro.gpu.device.SimulatedDevice` through this backend's device
+primitives: CUBLAS GEMMs against the exponentials uploaded once at bind
+time, the fused scaling kernels (Algorithms 5/7) or the launch-per-row
+CUBLAS listings (Algorithms 4/6), and per-bond-group checkerboard
+kernels. The stratification chain's QR work and every public fine-grain
+op stay on the host (the numpy primitives), exactly as the paper's
+preliminary hybrid defers them to the CPU. Batched composites run one
+spin sector at a time (a real multi-stream port would stack them).
+Device primitives allocate their results and free the operands they
+consume, so a composite holds at most two N x N work matrices besides
+the resident exponentials.
 
 The device executes numerically with the same numpy kernels in the same
 canonical order as the host backends, so physics is bit-identical; only
@@ -37,116 +44,109 @@ class SimulatedGPUBackend(NumpyBackend):
     """
 
     name = "gpu-sim"
+    stacked = False
 
     def __init__(self, device=None, model=None, fused: bool = True, **options):
         super().__init__(**options)
+        from ..gpu.cublas import Cublas
         from ..gpu.device import SimulatedDevice
         from ..gpu.perfmodel import TESLA_C2050
 
         self._model = model if model is not None else TESLA_C2050
         self.device = device if device is not None else SimulatedDevice(self._model)
+        self.blas = Cublas(self.device)
         self.fused = fused
-        self.ops = None
 
     def bind(self, factory) -> "SimulatedGPUBackend":
-        """Host refs + the one-time H2D upload of the exponentials."""
-        from ..gpu.ops import GPUPropagatorOps
+        """Host refs + the one-time H2D upload of the exponentials.
 
+        A new realized pair (precision promotion, kinetic switch) is
+        uploaded afresh and the stale device copies are freed.
+        """
+        stale = (self.d_expk, self.d_inv_expk)
         super().bind(factory)
-        # self.expk is the policy-realized exponential (compute dtype);
-        # re-upload when the model shape, the dtype, or the structured
-        # kinetic operator changed — a precision promotion or a kinetic
-        # switch must not keep stale device state.
-        if (
-            self.ops is None
-            or self.ops.d_expk.shape != self.expk.shape
-            or self.ops.d_expk.dtype != self.expk.dtype
-            or self.ops.structured is not self.structured
-        ):
-            self.ops = GPUPropagatorOps(
-                self.device,
-                self.expk,
-                self.inv_expk,
-                fused=self.fused,
-                structured=self.structured,
-            )
+        for d in stale:
+            if d is not None and d is not self.d_expk and d is not self.d_inv_expk:
+                self.device.free(d)
         return self
 
-    def _require_ops(self):
-        if self.ops is None:
-            from .base import BackendError
+    # -- device primitives -------------------------------------------------
 
-            raise BackendError(
-                "gpu-sim backend is not bound to a model: call bind(factory)"
-            )
-        return self.ops
+    def to_device(self, a):
+        return self.device.set_matrix(a)
 
-    # -- offloaded pieces --------------------------------------------------
+    def to_host(self, a):
+        out = self.device.get_matrix(a)
+        self.device.free(a)
+        return out
 
-    def cluster_product(self, v_diagonals):
-        self._count("cluster_product")
-        return self._require_ops().cluster_product(list(v_diagonals))
+    def _release(self, *arrays) -> None:
+        """Free consumed operands (the resident exponentials stay)."""
+        for d in arrays:
+            if d is not self.d_expk and d is not self.d_inv_expk:
+                self.device.free(d)
 
-    def wrap(self, g, v):
-        self._count("wrap")
-        return self._require_ops().wrap(g, v)
+    def _device_gemm(self, a, b, category):
+        out = self.device.alloc((a.shape[0], b.shape[1]), dtype=a.dtype)
+        self.blas.dgemm(a, b, out)
+        self._release(a, b)
+        return out
 
-    def unwrap(self, g, v):
-        self._count("unwrap")
-        return self._require_ops().unwrap(g, v)
+    def _device_scale_rows(self, a, v, out, category):
+        """Out of place: Algorithm 5's one launch, or Algorithm 4's
+        dscal per row of a work copy (``a`` itself unless resident)
+        followed by a dcopy."""
+        from ..gpu.kernels import scale_rows_kernel
 
-    def apply_structured(self, a, side="left", inverse=False, category="structured"):
-        """Device-side checkerboard application (upload, rotate, download)."""
-        self._count("apply_structured")
-        ops = self._require_ops()
-        if self.structured is None:
-            from .base import BackendError
+        dev, blas = self.device, self.blas
+        dv = dev.set_matrix(v)
+        res = dev.alloc(a.shape, dtype=a.dtype)
+        if self.fused:
+            scale_rows_kernel(dev, dv, a, res)
+            self._release(a)
+        else:
+            work = a
+            if a is self.d_expk or a is self.d_inv_expk:
+                work = dev.alloc(a.shape, dtype=a.dtype)
+                blas.dcopy(a, work)
+            for j in range(a.shape[0]):
+                blas.dscal(float(v[j]), work, row=j)
+            blas.dcopy(work, res)
+            self._release(work)
+        dev.free(dv)
+        return res
 
-            raise BackendError(
-                "backend 'gpu-sim': no structured kinetic operator is "
-                "bound — the factory was built with kinetic='exact'"
-            )
-        from ..linalg import flops
+    def _device_scale_two_sided(self, a, v, col_v, out, category):
+        """In place: Algorithm 7's one launch, or a dscal launch per row
+        and a strided launch per column."""
+        from ..gpu.kernels import two_sided_scale_kernel
 
-        a = self.policy.compute(a)
-        width = a.shape[-1] if side == "left" else a.shape[-2]
-        flops.record(category, self.structured.apply_flops(width))
-        return ops.apply_structured(a, side=side, inverse=inverse)
+        dev = self.device
+        dv = dev.set_matrix(v)
+        dcol = None if col_v is None else dev.set_matrix(col_v)
+        if self.fused:
+            two_sided_scale_kernel(dev, dv, a, col_v=dcol)
+        else:
+            for i in range(a.shape[0]):
+                self.blas.dscal(float(v[i]), a, row=i)
+            # Column scalings: CUBLAS dscal with stride n; the simulated
+            # cost is the same bandwidth-bound launch per column.
+            payload = a._payload()
+            col = 1.0 / v if col_v is None else col_v
+            for j in range(a.shape[1]):
+                payload[:, j] *= col[j]
+                dev.kernel_launches += 1
+                dev.tick(dev.model.time_bandwidth_kernel(2 * payload[:, j].nbytes))
+        dev.free(dv)
+        if dcol is not None:
+            dev.free(dcol)
+        return a
 
-    def apply_structured_batched(
-        self, stack, side="left", inverse=False, category="structured"
-    ):
-        """Per-sector device applications (one scratch set per device)."""
-        self._count("apply_structured_batched")
-        import numpy as np
+    def _device_structured(self, a, side, inverse, category):
+        from ..gpu.kernels import checkerboard_apply_kernel
 
-        return np.stack(
-            [
-                self.apply_structured(a, side=side, inverse=inverse, category=category)
-                for a in stack
-            ]
-        )
-
-    # The batched entry points loop per sector on the device (one scratch
-    # set per device; a real multi-stream port would override these).
-
-    def wrap_batched(self, gs, vs):
-        self._count("wrap_batched")
-        import numpy as np
-
-        return np.stack([self.wrap(g, v) for g, v in zip(gs, vs)])
-
-    def unwrap_batched(self, gs, vs):
-        self._count("unwrap_batched")
-        import numpy as np
-
-        return np.stack([self.unwrap(g, v) for g, v in zip(gs, vs)])
-
-    def cluster_product_batched(self, v_stack):
-        self._count("cluster_product_batched")
-        import numpy as np
-
-        return np.stack([self.cluster_product(list(vs)) for vs in v_stack])
+        checkerboard_apply_kernel(self.device, self.structured, a, side=side, inverse=inverse)
+        return a
 
     def stats(self):
         out = super().stats()

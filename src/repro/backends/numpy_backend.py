@@ -1,20 +1,19 @@
 """The serial numpy reference backend.
 
-Every operation is the canonical-order kernel of
-:mod:`repro.backends.base` spelled with plain numpy; all other backends
-are measured against this one bit-for-bit (elementwise scalings and
+Supplies the host primitives with plain numpy; the composites come from
+:class:`~repro.backends.base.BaseBackend`, and all other backends are
+measured against this one bit-for-bit (elementwise scalings and
 per-slice GEMMs) or to documented tolerances (threaded norm reductions
 above the grain size).
 
-The batched variants genuinely stack: ``np.matmul`` over a ``(s, n, n)``
-stack dispatches one BLAS GEMM per slice with the same rounding as the
-per-matrix call, so the stacked path is bit-identical to the loop while
-making one library call for both spin sectors.
+The primitives broadcast over leading axes, so the batched composites
+genuinely stack: ``a @ b`` over a ``(s, n, n)`` stack dispatches one
+BLAS GEMM per slice with the same rounding as the per-matrix call, so
+the stacked path is bit-identical to the loop while making one library
+call for both spin sectors.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -25,166 +24,42 @@ __all__ = ["NumpyBackend"]
 
 
 class NumpyBackend(BaseBackend):
-    """Serial reference implementation of the propagator op set."""
+    """Serial reference implementation of the host primitives."""
 
     name = "numpy"
 
-    # -- fine-grain ops ----------------------------------------------------
+    def _gemm(self, a, b, category):
+        out = a @ b
+        flops.record(category, 2 * out.size * a.shape[-1])
+        return out
 
-    def gemm(self, a, b, category: str = "gemm"):
-        """Dense ``a @ b`` with the flop charged to ``category``."""
-        self._count("gemm")
-        m, k = a.shape[0], a.shape[1]
-        n = b.shape[1] if b.ndim == 2 else 1
-        self._record_gemm(category, m, n, k)
-        return a @ b
-
-    def scale_rows(self, a, v, out=None, category: str = "scaling"):
-        """``diag(v) @ a``; writes into ``out`` in place when given."""
-        self._count("scale_rows")
-        self._record_scale(category, *a.shape)
-        return np.multiply(a, v[:, None], out=out)
-
-    def scale_columns(self, a, v, out=None, category: str = "scaling"):
-        """``a @ diag(v)``; writes into ``out`` in place when given."""
-        self._count("scale_columns")
-        self._record_scale(category, *a.shape)
-        return np.multiply(a, v[None, :], out=out)
-
-    def scale_two_sided(self, a, v, col_v=None, out=None, category: str = "scaling"):
-        """``diag(v) @ a @ diag(col_v)`` with ``col_v = 1/v`` by default.
-
-        Writes into ``out`` in place when given. The column factor is an
-        explicit argument so the unwrap can pass the *original* ``v``
-        rather than re-reciprocating ``1/(1/v)`` (not bitwise ``v``).
-        """
-        self._count("scale_two_sided")
-        col = (1.0 / v) if col_v is None else col_v
-        self._record_scale(category, *a.shape, passes=2)
-        res = np.multiply(a, v[:, None], out=out)
-        res *= col[None, :]
+    def _scale_rows(self, a, v, out, category):
+        res = np.multiply(a, v[..., :, None], out=out)
+        flops.record(category, res.size)
         return res
 
-    def column_norms(self, a):
-        self._count("column_norms")
+    def _scale_columns(self, a, v, out, category):
+        res = np.multiply(a, v[..., None, :], out=out)
+        flops.record(category, res.size)
+        return res
+
+    def _scale_two_sided(self, a, v, col_v, out, category):
+        col = (1.0 / v) if col_v is None else col_v
+        res = np.multiply(a, v[..., :, None], out=out)
+        res *= col[..., None, :]
+        flops.record(category, 2 * res.size)
+        return res
+
+    def _column_norms(self, a):
         return column_norms(a)
 
-    def prepivot_permutation(self, a):
-        """Descending column-norm order (paper Algorithm 3 step 3b)."""
-        self._count("prepivot_permutation")
+    def _prepivot_permutation(self, a):
         return prepivot_permutation(a)
 
-    # -- cluster products (Algorithm 4/5 order) ----------------------------
-
-    def cluster_product(self, v_diagonals: Sequence[np.ndarray]):
-        """Dense ``B_k ... B_1`` with ``B_j = diag(v_j) @ expK``.
-
-        ``v_diagonals`` ordered rightmost (applied first) to leftmost.
-        """
-        self._count("cluster_product")
-        self._require_bound()
-        if len(v_diagonals) == 0:
-            raise ValueError("empty cluster")
-        n = self.n
-        compute = self.policy.compute
-        self._record_scale("clustering", n, n)
-        out = self.expk * compute(v_diagonals[0])[:, None]
-        for v in v_diagonals[1:]:
-            if self.structured is not None:
-                out = self.apply_structured(out, side="left", category="clustering")
-            else:
-                self._record_gemm("clustering", n, n, n)
-                out = self.expk @ out
-            self._record_scale("clustering", n, n)
-            out *= compute(v)[:, None]
-        return out
-
-    def cluster_product_batched(self, v_stack):
-        """Stacked Algorithm 4/5 over the sector axis (one call per GEMM)."""
-        self._count("cluster_product_batched")
-        self._require_bound()
-        vs = self.policy.compute(v_stack)
-        s, k, n = vs.shape
-        self._record_scale("clustering", n, n, passes=s)
-        out = self.expk[None] * vs[:, 0, :, None]
-        for j in range(1, k):
-            if self.structured is not None:
-                out = self.apply_structured_batched(
-                    out, side="left", category="clustering"
-                )
-            else:
-                flops.record("clustering", s * flops.gemm_flops(n, n, n))
-                out = np.matmul(self.expk[None], out)
-            flops.record("clustering", s * flops.scale_flops(n, n))
-            out *= vs[:, j, :, None]
-        return out
-
-    # -- wrapping (Algorithm 6/7 order) ------------------------------------
-
-    def wrap(self, g, v):
-        """``diag(v) (expK @ g @ invexpK) diag(v)^{-1}``."""
-        self._count("wrap")
-        self._require_bound()
-        g = self.policy.compute(g)
-        v = self.policy.compute(v)
-        if self.structured is not None:
-            t = self.apply_structured(g, side="left", category="wrapping")
-            t = self.apply_structured(t, side="right", inverse=True, category="wrapping")
-        else:
-            t = self.gemm(self.expk, g, category="wrapping")
-            t = self.gemm(t, self.inv_expk, category="wrapping")
-        return self.scale_two_sided(t, v, out=t, category="wrapping")
-
-    def unwrap(self, g, v):
-        """Exact inverse composition of :meth:`wrap`."""
-        self._count("unwrap")
-        self._require_bound()
-        g = self.policy.compute(g)
-        v = self.policy.compute(v)
-        vinv = 1.0 / v
-        t = self.scale_two_sided(g, vinv, col_v=v, category="wrapping")
-        if self.structured is not None:
-            t = self.apply_structured(t, side="left", inverse=True, category="wrapping")
-            return self.apply_structured(t, side="right", category="wrapping")
-        t = self.gemm(self.inv_expk, t, category="wrapping")
-        return self.gemm(t, self.expk, category="wrapping")
-
-    def wrap_batched(self, gs, vs):
-        """Both spin sectors through one stacked-GEMM wrap."""
-        self._count("wrap_batched")
-        self._require_bound()
-        gs = self.policy.compute(gs)
-        vs = self.policy.compute(vs)
-        s, n = vs.shape
-        flops.record("wrapping", 2 * s * flops.scale_flops(n, n))
-        if self.structured is not None:
-            t = self.apply_structured_batched(gs, side="left", category="wrapping")
-            t = self.apply_structured_batched(
-                t, side="right", inverse=True, category="wrapping"
-            )
-        else:
-            flops.record("wrapping", 2 * s * flops.gemm_flops(n, n, n))
-            t = np.matmul(self.expk[None], gs)
-            t = np.matmul(t, self.inv_expk[None])
-        t *= vs[:, :, None]
-        t *= (1.0 / vs)[:, None, :]
-        return t
-
-    def unwrap_batched(self, gs, vs):
-        self._count("unwrap_batched")
-        self._require_bound()
-        gs = self.policy.compute(gs)
-        vs = self.policy.compute(vs)
-        s, n = vs.shape
-        flops.record("wrapping", 2 * s * flops.scale_flops(n, n))
-        vinv = 1.0 / vs
-        t = gs * vinv[:, :, None]
-        t *= vs[:, None, :]
-        if self.structured is not None:
-            t = self.apply_structured_batched(
-                t, side="left", inverse=True, category="wrapping"
-            )
-            return self.apply_structured_batched(t, side="right", category="wrapping")
-        flops.record("wrapping", 2 * s * flops.gemm_flops(n, n, n))
-        t = np.matmul(self.inv_expk[None], t)
-        return np.matmul(t, self.expk[None])
+    def _device_structured(self, a, side, inverse, category):
+        width = a.shape[-1] if side == "left" else a.shape[-2]
+        batch = int(np.prod(a.shape[:-2], dtype=np.int64))
+        flops.record(category, batch * self.structured.apply_flops(width))
+        if side == "left":
+            return self.structured.apply_expk_left(a, inverse=inverse)
+        return self.structured.apply_expk_right(a, inverse=inverse)

@@ -121,7 +121,7 @@ def resolve_backend(
         spec = default_backend_name()
     if not isinstance(spec, str):
         raise BackendError(
-            f"backend must be a name or a PropagatorBackend, got {type(spec)!r}"
+            f"backend must be a name or a BaseBackend, got {type(spec)!r}"
         )
     return get_backend(spec, **options)
 

@@ -3,7 +3,9 @@
 GEMMs stay with the (already multithreaded) BLAS; what this backend adds
 is exactly what QUEST added with OpenMP — thread-parallel execution of
 the fine-grain operations BLAS does not thread at DQMC sizes: diagonal
-scalings and the pre-pivot column-norm pass.
+scalings and the pre-pivot column-norm pass. The composites route their
+scalings through these primitives, so wraps and cluster products are
+pooled too.
 
 Bit-identity contract: the chunked scalings are elementwise (no
 reductions), so they match the numpy backend exactly at every size. The
@@ -14,8 +16,6 @@ OpenMP norm loop gives relative to serial dnrm2.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..parallel import (
     parallel_column_norms,
@@ -33,59 +33,21 @@ class ThreadedBackend(NumpyBackend):
     """Worker-pool execution of the fine-grain propagator ops."""
 
     name = "threaded"
+    # One sector at a time: the pool chunks the rows of one matrix, and
+    # a stacked elementwise pass would serialize that chunking.
+    stacked = False
 
-    def scale_rows(self, a, v, out=None, category: str = "scaling"):
-        self._count("scale_rows")
+    def _scale_rows(self, a, v, out, category):
         return scale_rows(a, v, out=out, category=category)
 
-    def scale_columns(self, a, v, out=None, category: str = "scaling"):
-        self._count("scale_columns")
+    def _scale_columns(self, a, v, out, category):
         return scale_columns(a, v, out=out, category=category)
 
-    def scale_two_sided(self, a, v, col_v=None, out=None, category: str = "scaling"):
-        self._count("scale_two_sided")
+    def _scale_two_sided(self, a, v, col_v, out, category):
         return scale_two_sided(a, v, col_v=col_v, out=out, category=category)
 
-    def column_norms(self, a):
-        self._count("column_norms")
+    def _column_norms(self, a):
         return parallel_column_norms(a)
 
-    def prepivot_permutation(self, a):
-        """Descending-norm order from the thread-parallel norm pass."""
-        self._count("prepivot_permutation")
+    def _prepivot_permutation(self, a):
         return parallel_prepivot_permutation(a)
-
-    def cluster_product(self, v_diagonals):
-        """Algorithm 4/5 order with pooled row scalings."""
-        self._count("cluster_product")
-        self._require_bound()
-        if len(v_diagonals) == 0:
-            raise ValueError("empty cluster")
-        compute = self.policy.compute
-        out = self.scale_rows(
-            self.expk, compute(v_diagonals[0]), category="clustering"
-        )
-        for v in v_diagonals[1:]:
-            if self.structured is not None:
-                t = self.apply_structured(out, side="left", category="clustering")
-            else:
-                t = self.gemm(self.expk, out, category="clustering")
-            out = self.scale_rows(t, compute(v), out=t, category="clustering")
-        return out
-
-    # wrap/unwrap inherit the numpy composition, which routes the
-    # scalings back through the overrides above — pooled automatically.
-    # The *batched* variants fall back to per-sector loops here: the
-    # stacked elementwise pass would serialize the pool's row chunking.
-
-    def wrap_batched(self, gs, vs):
-        self._count("wrap_batched")
-        return np.stack([self.wrap(g, v) for g, v in zip(gs, vs)])
-
-    def unwrap_batched(self, gs, vs):
-        self._count("unwrap_batched")
-        return np.stack([self.unwrap(g, v) for g, v in zip(gs, vs)])
-
-    def cluster_product_batched(self, v_stack):
-        self._count("cluster_product_batched")
-        return np.stack([self.cluster_product(list(vs)) for vs in v_stack])

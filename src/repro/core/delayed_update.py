@@ -51,7 +51,7 @@ class DelayedUpdater:
         Flush automatically once this many updates are pending. 1
         degenerates to plain rank-1 updates (the ablation baseline).
     backend:
-        Optional :class:`~repro.backends.PropagatorBackend` executing the
+        Optional :class:`~repro.backends.BaseBackend` executing the
         rank-m flush GEMM (and counting it in the dispatch telemetry);
         ``None`` keeps the plain in-process GEMM.
     """

@@ -65,11 +65,9 @@ class GreensFunctionEngine:
         sources. ``None`` costs nothing (shared no-op instance).
     backend:
         Execution backend (registry name or
-        :class:`~repro.backends.PropagatorBackend` instance) every
+        :class:`~repro.backends.BaseBackend` instance) every
         propagator operation dispatches through; ``None`` consults
         ``$REPRO_BACKEND`` (default: the serial numpy backend).
-        ``threaded_norms=True`` is the deprecated spelling of
-        ``backend="threaded"``.
     precision:
         Precision policy (name or
         :class:`~repro.precision.PrecisionPolicy`) applied to the
@@ -86,23 +84,18 @@ class GreensFunctionEngine:
         method: StratificationMethod = "prepivot",
         cluster_size: int = 10,
         profiler: Optional[PhaseProfiler] = None,
-        threaded_norms: bool = False,
         telemetry: Optional[Telemetry] = None,
         backend=None,
         precision=None,
     ):
         from ..backends import resolve_backend, validate_backend_method
-        from .stratification import _resolve_backend
 
         self.factory = factory
         self.field = field
         self.method = method
-        if backend is None and not threaded_norms:
-            # The engine is the user-facing entry point, so (unlike the
-            # library-level chain functions) its default is env-aware.
-            self.backend = resolve_backend(None)
-        else:
-            self.backend = _resolve_backend(backend, threaded_norms)
+        # The engine is the user-facing entry point, so (unlike the
+        # library-level chain functions) its default is env-aware.
+        self.backend = resolve_backend(backend)
         if precision is not None:
             # An explicit policy overrides whatever the backend carries
             # (constructor option or $REPRO_PRECISION); None keeps it —
@@ -110,7 +103,6 @@ class GreensFunctionEngine:
             self.backend.set_policy(precision)
         self.backend.bind(factory)
         validate_backend_method(self.backend, method)
-        self.threaded_norms = self.backend.name == "threaded"
         self.profiler = ensure_profiler(profiler)
         self.telemetry = ensure_telemetry(telemetry)
         self.cache = ClusterCache(
@@ -123,8 +115,8 @@ class GreensFunctionEngine:
         """Expose cluster-cache and backend stats to telemetry snapshots.
 
         The sources read ``self.cache`` / ``self.backend`` at snapshot
-        time, so subclasses that swap in their own (the hybrid GPU
-        engine) are covered without re-registration."""
+        time, so subclasses that swap in their own are covered without
+        re-registration."""
         if not self.telemetry.enabled:
             return
 
@@ -140,8 +132,7 @@ class GreensFunctionEngine:
     def device(self):
         """The simulated device of a GPU-offload backend.
 
-        Raises AttributeError on backends without one, matching the old
-        hybrid-engine attribute surface.
+        Raises AttributeError on backends without one.
         """
         device = getattr(self.backend, "device", None)
         if device is None:

@@ -44,7 +44,6 @@ Three pivoting policies are offered:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
@@ -80,35 +79,16 @@ _FACTORIZERS: dict = {
 }
 
 
-def _resolve_backend(backend, threaded_norms: bool):
-    """Map the (deprecated) ``threaded_norms`` flag and ``backend`` spec
-    to a live backend instance; the strat chain's scalings/GEMMs and the
+def _resolve_backend(backend):
+    """Map a ``backend`` spec to a live backend instance (the serial
+    numpy backend for None); the strat chain's scalings/GEMMs and the
     pre-pivot norm pass dispatch through it."""
-    from ..backends import BaseBackend, get_backend, serial_backend
+    from ..backends import resolve_backend, serial_backend
 
-    if threaded_norms:
-        warnings.warn(
-            "threaded_norms is deprecated; pass backend='threaded' "
-            "(or any registered backend) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if backend is not None:
-            raise ValueError(
-                "pass either backend= or the deprecated threaded_norms, "
-                "not both"
-            )
-        return get_backend("threaded")
-    if backend is None:
-        return serial_backend()
-    if isinstance(backend, str):
-        return get_backend(backend)
-    if not isinstance(backend, BaseBackend):
-        raise TypeError(f"backend must be a name or backend, got {backend!r}")
-    return backend
+    return serial_backend() if backend is None else resolve_backend(backend)
 
 
-def _step_factorize(method: str, c: np.ndarray, backend=None):
+def _step_factorize(method: str, c: np.ndarray, backend):
     """One chain step's factorization: ``c = q @ diag(d) @ t_factor``
     with ``t_factor`` well-conditioned; returns
     ``(q, d, t_factor, piv, sync_points)`` where ``piv`` is the row
@@ -133,7 +113,7 @@ def _step_factorize(method: str, c: np.ndarray, backend=None):
         u, s, vt = jacobi_svd(c)
         _check_diag(s)
         return u, s, vt, np.arange(c.shape[1]), min(c.shape)
-    if method == "prepivot" and backend is not None:
+    if method == "prepivot":
         res = qr_prepivoted(c, piv=backend.prepivot_permutation(c))
     else:
         res = _FACTORIZERS[method](c)
@@ -173,7 +153,6 @@ def stratified_decomposition(
     factors: Iterable[np.ndarray],
     method: StratificationMethod = "prepivot",
     stats: StratificationStats | None = None,
-    threaded_norms: bool = False,
     backend=None,
 ) -> GradedDecomposition:
     """Graded decomposition of ``F_L ... F_2 F_1``.
@@ -190,10 +169,8 @@ def stratified_decomposition(
         L-1 chain steps.
     stats:
         Optional mutable diagnostics accumulator.
-    threaded_norms:
-        Deprecated spelling of ``backend="threaded"``.
     backend:
-        A :class:`~repro.backends.PropagatorBackend` (or registry name)
+        A :class:`~repro.backends.BaseBackend` (or registry name)
         executing the chain's GEMMs, diagonal scalings, and the
         pre-pivot norm pass; ``None`` uses the serial numpy backend.
 
@@ -205,7 +182,7 @@ def stratified_decomposition(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    backend = _resolve_backend(backend, threaded_norms)
+    backend = _resolve_backend(backend)
 
     # The stabilization spine runs in the policy's spine dtype — float64
     # under full64 *and* mixed (compute-dtype cluster factors are
@@ -263,22 +240,16 @@ def stratified_inverse(
     factors: Sequence[np.ndarray],
     method: StratificationMethod = "prepivot",
     stats: StratificationStats | None = None,
-    threaded_norms: bool = False,
     backend=None,
 ) -> np.ndarray:
     """``(I + F_L ... F_1)^{-1}`` via stratification + the stable solve.
 
     This is the full Algorithm 2 (``method="qrp"``) or Algorithm 3
     (``method="prepivot"``) including step 4; ``backend`` executes the
-    chain's GEMMs/scalings (``threaded_norms`` is the deprecated
-    spelling of ``backend="threaded"``).
+    chain's GEMMs/scalings.
     """
     g = stratified_decomposition(
-        factors,
-        method=method,
-        stats=stats,
-        threaded_norms=threaded_norms,
-        backend=backend,
+        factors, method=method, stats=stats, backend=backend
     )
     return stable_inverse_from_graded(g)
 
@@ -300,7 +271,7 @@ class IncrementalStratifier:
                 f"unknown method {method!r}; expected one of {METHODS}"
             )
         self.method = method
-        self.backend = _resolve_backend(backend, threaded_norms=False)
+        self.backend = _resolve_backend(backend)
         self._q: np.ndarray | None = None
         self._d: np.ndarray | None = None
         self._t: np.ndarray | None = None

@@ -14,7 +14,7 @@ fixed kinetic exponentials plus two diagonal scalings) and slowly loses
 accuracy; after ``l_wrap`` wraps the engine re-stratifies from scratch.
 
 Both transforms execute through a
-:class:`~repro.backends.PropagatorBackend`, whose ``wrap``/``unwrap``
+:class:`~repro.backends.BaseBackend`, whose ``wrap``/``unwrap``
 methods pin one canonical operation order (GEMMs on the well-scaled
 matrix first, diagonal scalings after — the paper's GPU Algorithm 6/7
 shape) so every backend produces bit-identical Green's functions.

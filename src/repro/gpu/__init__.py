@@ -5,12 +5,13 @@ operation numerically on the host while advancing a virtual clock from a
 calibrated Tesla C2050 performance model. The code paths — explicit
 device memory, host<->device transfers, CUBLAS calls, fused CUDA-style
 kernels — are the ones a real port exercises, and their structural costs
-(transfer volume, launch counts) are measurable and tested.
+(transfer volume, launch counts) are measurable and tested. The
+clustering and wrapping composites run on a device through
+:class:`repro.backends.SimulatedGPUBackend`.
 """
 
 from .cublas import Cublas
 from .device import DeviceArray, DeviceError, SimulatedDevice
-from .hybrid import HybridGreensEngine
 from .kernels import (
     DEFAULT_BLOCK,
     extract_diagonal,
@@ -20,7 +21,6 @@ from .kernels import (
     two_sided_scale_kernel,
 )
 from .multi import MultiDeviceClusterFarm
-from .ops import GPUPropagatorOps
 from .perfmodel import NEHALEM_8CORE, TESLA_C2050, CPUModel, GPUModel
 from .qr import GpuBlockedQR, column_norms_kernel, permute_columns_kernel
 from .stratification import (
@@ -35,9 +35,7 @@ __all__ = [
     "DeviceArray",
     "DeviceError",
     "GPUModel",
-    "GPUPropagatorOps",
     "GpuBlockedQR",
-    "HybridGreensEngine",
     "MultiDeviceClusterFarm",
     "NEHALEM_8CORE",
     "SimulatedDevice",

@@ -19,12 +19,12 @@ one device/host; Amdahl applies and the farm reports both numbers.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .device import SimulatedDevice
-from .ops import GPUPropagatorOps
 from .perfmodel import TESLA_C2050, GPUModel
 
 __all__ = ["MultiDeviceClusterFarm"]
@@ -36,8 +36,9 @@ class MultiDeviceClusterFarm:
     Parameters
     ----------
     n_devices:
-        Device count (>= 1). One :class:`GPUPropagatorOps` per device,
-        each with its own resident propagator copies.
+        Device count (>= 1). One
+        :class:`~repro.backends.SimulatedGPUBackend` per device, each
+        with its own resident propagator copies.
     expk, inv_expk:
         Host kinetic exponentials, uploaded to every device at setup.
     model:
@@ -54,11 +55,14 @@ class MultiDeviceClusterFarm:
         model: GPUModel = TESLA_C2050,
         fused: bool = True,
     ):
+        from ..backends import SimulatedGPUBackend
+
         if n_devices < 1:
             raise ValueError("need at least one device")
         self.devices = [SimulatedDevice(model) for _ in range(n_devices)]
-        self.ops = [
-            GPUPropagatorOps(dev, expk, inv_expk, fused=fused)
+        exponentials = SimpleNamespace(expk=expk, inv_expk=inv_expk)
+        self.backends = [
+            SimulatedGPUBackend(device=dev, fused=fused).bind(exponentials)
             for dev in self.devices
         ]
         #: accumulated concurrent wall-clock across build_all batches
@@ -87,8 +91,8 @@ class MultiDeviceClusterFarm:
         start = [dev.elapsed for dev in self.devices]
         products: List[np.ndarray] = []
         for j, vs in enumerate(v_lists):
-            ops = self.ops[j % self.n_devices]
-            products.append(ops.cluster_product(vs))
+            backend = self.backends[j % self.n_devices]
+            products.append(backend.cluster_product(vs))
         deltas = [
             dev.elapsed - t0 for dev, t0 in zip(self.devices, start)
         ]

@@ -80,8 +80,8 @@ class NumericalHealthWatchdog:
     Parameters
     ----------
     engine:
-        The :class:`~repro.core.GreensFunctionEngine` (or hybrid
-        subclass) whose ``wrap_drift`` / ``grading_profile`` diagnostics
+        The :class:`~repro.core.GreensFunctionEngine` whose
+        ``wrap_drift`` / ``grading_profile`` diagnostics
         are sampled and whose caches are invalidated on alert.
     config:
         Tolerances and cadence.

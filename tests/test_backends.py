@@ -40,8 +40,8 @@ def model_4x4(beta=2.0, n_slices=16):
     return HubbardModel(SquareLattice(4, 4), u=4.0, beta=beta, n_slices=n_slices)
 
 
-def bound_backend(name):
-    factory = BMatrixFactory(model_4x4())
+def bound_backend(name, kinetic="exact"):
+    factory = BMatrixFactory(model_4x4(), kinetic=kinetic)
     return get_backend(name).bind(factory), factory
 
 
@@ -100,33 +100,6 @@ class TestLoudOptionRejection:
         with pytest.raises(BackendError, match="threaded_norms"):
             get_backend(name, threaded_norms=True)
 
-    def test_simulation_rejects_gpu_plus_threaded_norms(self):
-        """The old hybrid path silently ignored threaded_norms; now the
-        combination is a loud error."""
-        with pytest.raises(ValueError, match="threaded_norms"):
-            Simulation(
-                model_4x4(), cluster_size=4, use_gpu=True, threaded_norms=True
-            )
-
-    def test_simulation_rejects_backend_plus_legacy_flag(self):
-        with pytest.raises(ValueError, match="use_gpu"):
-            Simulation(
-                model_4x4(), cluster_size=4, backend="numpy", use_gpu=True
-            )
-        with pytest.raises(ValueError, match="threaded_norms"):
-            Simulation(
-                model_4x4(), cluster_size=4, backend="numpy",
-                threaded_norms=True,
-            )
-
-    def test_legacy_flags_deprecate_to_backends(self):
-        with pytest.warns(DeprecationWarning, match="gpu-sim"):
-            sim = Simulation(model_4x4(), cluster_size=4, use_gpu=True)
-        assert sim.engine.backend.name == "gpu-sim"
-        with pytest.warns(DeprecationWarning, match="threaded"):
-            sim = Simulation(model_4x4(), cluster_size=4, threaded_norms=True)
-        assert sim.engine.backend.name == "threaded"
-
 
 class TestMethodValidation:
     """Satellite 2: method/backend combos validated before anything runs."""
@@ -178,9 +151,13 @@ def _rng_ops(seed=3):
 
 
 class TestSingleOpIdentity:
+    #: kinetic mode of the bound factory; the checkerboard subclass
+    #: reruns every check through the structured operator
+    kinetic = "exact"
+
     @pytest.mark.parametrize("name", IDENTITY_BACKENDS)
     def test_wrap_unwrap_identity_across_backends(self, name):
-        ref, factory = bound_backend("numpy")
+        ref, factory = bound_backend("numpy", self.kinetic)
         other = get_backend(name).bind(factory)
         g, v = _rng_ops()
         assert np.array_equal(other.wrap(g, v), ref.wrap(g, v))
@@ -188,14 +165,14 @@ class TestSingleOpIdentity:
 
     @pytest.mark.parametrize("name", IDENTITY_BACKENDS)
     def test_cluster_product_across_backends(self, name):
-        ref, factory = bound_backend("numpy")
+        ref, factory = bound_backend("numpy", self.kinetic)
         other = get_backend(name).bind(factory)
         rng = np.random.default_rng(5)
         vs = [np.exp(rng.standard_normal(16)) for _ in range(4)]
         assert np.array_equal(other.cluster_product(vs), ref.cluster_product(vs))
 
     def test_unwrap_inverts_wrap_to_rounding(self):
-        b, _ = bound_backend("numpy")
+        b, _ = bound_backend("numpy", self.kinetic)
         g, v = _rng_ops()
         np.testing.assert_allclose(b.unwrap(b.wrap(g, v), v), g, rtol=1e-10)
 
@@ -226,10 +203,16 @@ class TestSingleOpIdentity:
 # ---------------------------------------------------------------------------
 
 
+class TestSingleOpIdentityCheckerboard(TestSingleOpIdentity):
+    kinetic = "checkerboard"
+
+
 class TestBatchedOpsZeroULP:
+    kinetic = "exact"
+
     @pytest.mark.parametrize("name", IDENTITY_BACKENDS)
     def test_wrap_batched_matches_loop(self, name):
-        b, factory = bound_backend(name)
+        b, factory = bound_backend(name, self.kinetic)
         rng = np.random.default_rng(7)
         gs = rng.standard_normal((2, 16, 16))
         vs = np.exp(rng.standard_normal((2, 16)))
@@ -240,7 +223,7 @@ class TestBatchedOpsZeroULP:
 
     @pytest.mark.parametrize("name", IDENTITY_BACKENDS)
     def test_unwrap_batched_matches_loop(self, name):
-        b, factory = bound_backend(name)
+        b, factory = bound_backend(name, self.kinetic)
         rng = np.random.default_rng(8)
         gs = rng.standard_normal((2, 16, 16))
         vs = np.exp(rng.standard_normal((2, 16)))
@@ -250,7 +233,7 @@ class TestBatchedOpsZeroULP:
 
     @pytest.mark.parametrize("name", IDENTITY_BACKENDS)
     def test_cluster_product_batched_matches_loop(self, name):
-        b, factory = bound_backend(name)
+        b, factory = bound_backend(name, self.kinetic)
         rng = np.random.default_rng(9)
         v_stack = np.exp(rng.standard_normal((2, 4, 16)))
         batched = b.cluster_product_batched(v_stack)
@@ -260,13 +243,17 @@ class TestBatchedOpsZeroULP:
             )
 
     def test_batched_unwrap_round_trips_batched_wrap(self):
-        b, _ = bound_backend("numpy")
+        b, _ = bound_backend("numpy", self.kinetic)
         rng = np.random.default_rng(10)
         gs = rng.standard_normal((2, 16, 16))
         vs = np.exp(rng.standard_normal((2, 16)))
         np.testing.assert_allclose(
             b.unwrap_batched(b.wrap_batched(gs, vs), vs), gs, rtol=1e-10
         )
+
+
+class TestBatchedOpsZeroULPCheckerboard(TestBatchedOpsZeroULP):
+    kinetic = "checkerboard"
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +276,7 @@ def run_backend(name, seed=42):
         "density": res.observables["density"].mean,
         "double_occ": res.observables["double_occupancy"].mean,
         "kinetic": res.observables["kinetic_energy"].mean,
+        "op_counts": dict(sim.engine.backend.op_counts),
     }
 
 
@@ -312,6 +300,12 @@ class TestEndToEndBitIdentity:
         assert got["double_occ"] == reference["double_occ"]
         assert got["kinetic"] == reference["kinetic"]
 
+    @pytest.mark.parametrize("name", ("threaded", "gpu-sim"))
+    def test_dispatch_counts_identical(self, name, reference):
+        """One logical op counts once on every backend: the primitives a
+        composite runs internally are not counted."""
+        assert run_backend(name)["op_counts"] == reference["op_counts"]
+
     def test_gpu_sim_device_clock_advances(self):
         sim = Simulation(
             model_4x4(), seed=1, cluster_size=4, backend="gpu-sim"
@@ -319,6 +313,118 @@ class TestEndToEndBitIdentity:
         sim.warmup(1)
         assert sim.engine.device.elapsed > 0.0
         assert sim.engine.device.kernel_launches > 0
+
+
+# ---------------------------------------------------------------------------
+# the composites over a backend that supplies nothing but primitives
+# ---------------------------------------------------------------------------
+
+
+class _OnDevice:
+    """A device operand: like ``repro.gpu.DeviceArray``, host numpy code
+    cannot read it, so a composite that skips a primitive fails loudly."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("device operand read on the host")
+
+
+class PrimitivesOnlyBackend(BaseBackend):
+    """Implements the device primitives and nothing else; every call is
+    tallied in :attr:`calls`."""
+
+    name = "primitives-only"
+
+    def __init__(self, stacked=True):
+        super().__init__()
+        self.stacked = stacked
+        self.calls = {}
+
+    def _tally(self, prim):
+        self.calls[prim] = self.calls.get(prim, 0) + 1
+
+    def to_device(self, a):
+        self._tally("to_device")
+        return _OnDevice(np.array(a))
+
+    def to_host(self, a):
+        self._tally("to_host")
+        return a.data
+
+    def _device_gemm(self, a, b, category):
+        self._tally("gemm")
+        return _OnDevice(a.data @ b.data)
+
+    def _device_scale_rows(self, a, v, out, category):
+        self._tally("scale_rows")
+        return _OnDevice(a.data * v[..., :, None])
+
+    def _device_scale_two_sided(self, a, v, col_v, out, category):
+        self._tally("scale_two_sided")
+        col = 1.0 / v if col_v is None else col_v
+        t = a.data * v[..., :, None]
+        t *= col[..., None, :]
+        return _OnDevice(t)
+
+    def _device_structured(self, a, side, inverse, category):
+        self._tally("structured")
+        if side == "left":
+            return _OnDevice(self.structured.apply_expk_left(a.data, inverse=inverse))
+        return _OnDevice(self.structured.apply_expk_right(a.data, inverse=inverse))
+
+
+class TestPrimitivesOnlyBackend:
+    """All composites run through a backend's own primitives and match
+    numpy bit for bit — the guard against a backend silently inheriting
+    host kernels for some composite."""
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-sector"])
+    @pytest.mark.parametrize("kinetic", ["exact", "checkerboard"])
+    def test_composites_match_numpy(self, kinetic, stacked):
+        ref, factory = bound_backend("numpy", kinetic)
+        fake = PrimitivesOnlyBackend(stacked=stacked).bind(factory)
+        rng = np.random.default_rng(11)
+        g, v = _rng_ops()
+        gs = rng.standard_normal((2, 16, 16))
+        vs = np.exp(rng.standard_normal((2, 16)))
+        v_stack = np.exp(rng.standard_normal((2, 4, 16)))
+        calls = [
+            ("wrap", (g, v), 1),
+            ("unwrap", (g, v), 1),
+            ("cluster_product", (list(v_stack[0]),), 1),
+            ("wrap_batched", (gs, vs), 1 if stacked else 2),
+            ("unwrap_batched", (gs, vs), 1 if stacked else 2),
+            ("cluster_product_batched", (v_stack,), 1 if stacked else 2),
+        ]
+        if kinetic == "checkerboard":
+            calls += [
+                ("apply_structured", (g, "right", True), 1),
+                ("apply_structured_batched", (gs[:, :, :5],), 1 if stacked else 2),
+            ]
+        else:
+            for op in ("apply_structured", "apply_structured_batched"):
+                with pytest.raises(BackendError, match="structured"):
+                    getattr(fake, op)(gs)
+        for op, args, downloads in calls:
+            before = dict(fake.calls)
+            got = getattr(fake, op)(*args)
+            assert isinstance(got, np.ndarray), op
+            assert np.array_equal(got, getattr(ref, op)(*args)), op
+            assert fake.calls["to_host"] - before.get("to_host", 0) == downloads, op
+        # the kinetic fork: dense GEMMs only under the exact mode
+        assert ("gemm" in fake.calls) == (kinetic == "exact")
+        assert ("structured" in fake.calls) == (kinetic == "checkerboard")
+        # every public call counted once, primitives not at all
+        assert fake.op_counts == {
+            op: 1
+            for op in (
+                "wrap", "unwrap", "cluster_product", "wrap_batched",
+                "unwrap_batched", "cluster_product_batched",
+                "apply_structured", "apply_structured_batched",
+            )
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +455,6 @@ class TestEngineIntegration:
         sim = Simulation(model_4x4(), seed=0, cluster_size=4, backend="numpy")
         with pytest.raises(AttributeError, match="no device"):
             sim.engine.device
-
-    def test_engine_rejects_backend_plus_threaded_norms(self):
-        from repro.core import GreensFunctionEngine
-
-        factory = BMatrixFactory(model_4x4())
-        field = HSField.ordered(16, 16)
-        with pytest.raises(ValueError, match="not both"):
-            GreensFunctionEngine(
-                factory, field, cluster_size=4,
-                backend="numpy", threaded_norms=True,
-            )
 
 
 # ---------------------------------------------------------------------------

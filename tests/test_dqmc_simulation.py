@@ -70,10 +70,12 @@ class TestDriver:
 
 class TestDriverOptions:
     def test_use_gpu_identical_markov_chain(self):
-        """The hybrid-GPU driver must walk the same chain as the CPU one
+        """A GPU-offload simulation must walk the same chain as the CPU one
         (Sec. VI: offload changes timing, never physics)."""
         cpu = Simulation(tiny_model(), seed=7, cluster_size=4).run(2, 6)
-        gpu_sim = Simulation(tiny_model(), seed=7, cluster_size=4, use_gpu=True)
+        gpu_sim = Simulation(
+            tiny_model(), seed=7, cluster_size=4, backend="gpu-sim"
+        )
         gpu = gpu_sim.run(2, 6)
         assert cpu.observables["double_occupancy"].scalar == pytest.approx(
             gpu.observables["double_occupancy"].scalar
@@ -81,9 +83,10 @@ class TestDriverOptions:
         assert gpu_sim.engine.device.elapsed > 0  # GPU clock ran
 
     def test_threaded_norms_identical_markov_chain(self):
+        """Pooled norms and scalings walk the serial chain."""
         a = Simulation(tiny_model(), seed=7, cluster_size=4).run(2, 6)
         b = Simulation(
-            tiny_model(), seed=7, cluster_size=4, threaded_norms=True
+            tiny_model(), seed=7, cluster_size=4, backend="threaded"
         ).run(2, 6)
         assert a.observables["kinetic_energy"].scalar == pytest.approx(
             b.observables["kinetic_energy"].scalar

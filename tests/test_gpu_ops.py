@@ -1,10 +1,12 @@
-"""Unit tests for GPU clustering (Alg 4/5) and wrapping (Alg 6/7)."""
+"""Unit tests for GPU clustering (Alg 4/5) and wrapping (Alg 6/7) on the
+simulated-GPU backend."""
 
 import numpy as np
 import pytest
 
+from repro.backends import SimulatedGPUBackend
 from repro.core import cluster_product, wrap_forward
-from repro.gpu import GPUPropagatorOps, SimulatedDevice
+from repro.gpu import SimulatedDevice
 from tests.helpers import relerr
 
 
@@ -13,11 +15,13 @@ def dev():
     return SimulatedDevice()
 
 
+def gpu_backend(dev, factory, fused=True):
+    return SimulatedGPUBackend(device=dev, fused=fused).bind(factory)
+
+
 @pytest.fixture(params=[True, False], ids=["fused", "cublas"])
 def ops(request, dev, factory4x4):
-    return GPUPropagatorOps(
-        dev, factory4x4.expk, factory4x4.inv_expk, fused=request.param
-    )
+    return gpu_backend(dev, factory4x4, fused=request.param)
 
 
 class TestClusterProduct:
@@ -43,7 +47,7 @@ class TestClusterProduct:
     def test_transfer_volume(self, dev, factory4x4, field4x4):
         """Paper Sec. VI-A: one cluster rebuild moves N*L floats up and
         N^2 down (the resident exponentials move only at setup)."""
-        ops = GPUPropagatorOps(dev, factory4x4.expk, factory4x4.inv_expk)
+        ops = gpu_backend(dev, factory4x4)
         h2d0, d2h0 = dev.h2d_bytes, dev.d2h_bytes
         k = 10
         vs = [field4x4.v_diagonal(l, 1, factory4x4.nu) for l in range(k)]
@@ -61,12 +65,12 @@ class TestLaunchCounts:
         k = 5
         vs = [field4x4.v_diagonal(l, 1, factory4x4.nu) for l in range(k)]
 
-        fused = GPUPropagatorOps(dev, factory4x4.expk, factory4x4.inv_expk, fused=True)
+        fused = gpu_backend(dev, factory4x4, fused=True)
         before = dev.kernel_launches
         fused.cluster_product(vs)
         fused_launches = dev.kernel_launches - before
 
-        plain = GPUPropagatorOps(dev, factory4x4.expk, factory4x4.inv_expk, fused=False)
+        plain = gpu_backend(dev, factory4x4, fused=False)
         before = dev.kernel_launches
         plain.cluster_product(vs)
         plain_launches = dev.kernel_launches - before
@@ -82,9 +86,7 @@ class TestLaunchCounts:
         times = {}
         for fused in (True, False):
             dev = SimulatedDevice()
-            ops = GPUPropagatorOps(
-                dev, factory4x4.expk, factory4x4.inv_expk, fused=fused
-            )
+            ops = gpu_backend(dev, factory4x4, fused=fused)
             t0 = dev.elapsed
             ops.cluster_product(vs)
             times[fused] = dev.elapsed - t0
@@ -109,8 +111,27 @@ class TestWrap:
         """One wrap moves N^2 + N floats up, N^2 down — the paper's
         reason wrapping cannot reach clustering's GPU efficiency."""
         dev = SimulatedDevice()
-        ops = GPUPropagatorOps(dev, factory4x4.expk, factory4x4.inv_expk)
+        ops = gpu_backend(dev, factory4x4)
         h2d0, d2h0 = dev.h2d_bytes, dev.d2h_bytes
         ops.wrap(rng.normal(size=(16, 16)), np.exp(rng.normal(size=16)))
         assert dev.h2d_bytes - h2d0 == (16 * 16 + 16) * 8
         assert dev.d2h_bytes - d2h0 == 16 * 16 * 8
+
+
+class TestDeviceMemory:
+    def test_composites_leave_only_the_resident_exponentials(
+        self, ops, dev, factory4x4, field4x4, rng
+    ):
+        """Each composite frees every work array it allocated: between
+        calls the device holds exactly exp(-+dtau K)."""
+        resident = 2 * 16 * 16 * 8
+        assert dev.allocated_bytes == resident
+        g = rng.normal(size=(16, 16))
+        v = np.exp(rng.normal(size=16))
+        ops.wrap(g, v)
+        ops.unwrap(g, v)
+        ops.cluster_product([v, v, v])
+        ops.wrap_batched(np.stack([g, g]), np.stack([v, v]))
+        assert dev.allocated_bytes == resident
+        # resident + two work matrices + the diagonals of one scaling
+        assert dev.peak_bytes <= resident + 2 * 16 * 16 * 8 + 2 * 16 * 8

@@ -602,7 +602,7 @@ class BackendBypassRule(Rule):
                         ctx,
                         node,
                         f"direct `{name}` in the core pipeline: dispatch "
-                        "through the PropagatorBackend (or pragma a "
+                        "through the execution backend (or pragma a "
                         "genuinely backend-independent diagnostic)",
                     )
             elif self._manual_scaling(node):
